@@ -287,13 +287,12 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 }
 
 fn bench_client_storm(c: &mut Criterion) {
-    // pipelined warm-cache storm against both serving cores: 16 clients each
-    // write a burst of 8 mesh requests before reading any reply, so the
-    // server sees genuine pipelining (the threaded core drains the burst one
-    // frame at a time; the reactor decodes the whole buffer per wakeup and
+    // pipelined warm-cache storm: 16 clients each write a burst of 8 mesh
+    // requests before reading any reply, so the server sees genuine
+    // pipelining (each event loop decodes the whole buffer per wakeup and
     // releases replies in request order). Every request is a cache hit, so
-    // the group prices the per-request serving overhead — framing, dispatch,
-    // ordered write-out — not extraction.
+    // the group prices the per-request serving overhead — framing,
+    // dispatch, ordered write-out — not extraction.
     use oociso_core::{ClusterDatabase, PreprocessOptions};
     use oociso_serve::{Client, ClientOptions, IsoServer, Message, ServeOptions};
     let dims = Dims3::new(48, 48, 44);
@@ -312,54 +311,40 @@ fn bench_client_storm(c: &mut Criterion) {
             trace_id: 0,
         })
         .collect();
-    let mut cores: Vec<(&str, usize)> = vec![("threaded", 0)];
-    if cfg!(target_os = "linux") {
-        cores.push(("reactor", 2));
-    }
     let mut group = c.benchmark_group("client_storm");
     group.sample_size(10);
     group.throughput(Throughput::Elements((clients * depth) as u64));
-    for (name, reactor_threads) in cores {
-        let db = ClusterDatabase::<u8>::open(&dir, true).unwrap();
-        let server = IsoServer::bind(
-            db,
-            ("127.0.0.1", 0),
-            ServeOptions {
-                reactor_threads,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
-        // warm the cache so every benched request is a hit
-        let mut warm = Client::connect(addr).unwrap();
-        for &iso in &isovalues {
-            warm.query_mesh(iso, None).unwrap();
-        }
-        drop(warm);
-        group.bench_function(BenchmarkId::new("pipeline_16x8", name), |b| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    for t in 0..clients {
-                        let burst = &burst;
-                        scope.spawn(move || {
-                            let mut client = Client::connect_with(
-                                addr,
-                                ClientOptions {
-                                    jitter_seed: 0xC0DE ^ t as u64,
-                                    ..Default::default()
-                                },
-                            )
-                            .unwrap();
-                            let replies = client.pipeline(burst).unwrap();
-                            assert_eq!(replies.len(), burst.len());
-                        });
-                    }
-                });
-            })
-        });
-        server.stop();
+    let db = ClusterDatabase::<u8>::open(&dir, true).unwrap();
+    let server = IsoServer::bind(db, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+    let addr = server.addr();
+    // warm the cache so every benched request is a hit
+    let mut warm = Client::connect(addr).unwrap();
+    for &iso in &isovalues {
+        warm.query_mesh(iso, None).unwrap();
     }
+    drop(warm);
+    group.bench_function(BenchmarkId::new("pipeline_16x8", "reactor"), |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for t in 0..clients {
+                    let burst = &burst;
+                    scope.spawn(move || {
+                        let mut client = Client::connect_with(
+                            addr,
+                            ClientOptions {
+                                jitter_seed: 0xC0DE ^ t as u64,
+                                ..Default::default()
+                            },
+                        )
+                        .unwrap();
+                        let replies = client.pipeline(burst).unwrap();
+                        assert_eq!(replies.len(), burst.len());
+                    });
+                }
+            });
+        })
+    });
+    server.stop();
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,11 @@
 //! Shared harness for the table/figure regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md §5 for the index). This
-//! library holds what they share: dataset construction with on-disk caching,
+//! `src/bin/` that regenerates it, named after what it reproduces:
+//! `table1` (index sizes), `table2_5` (Tables 2–5 and Figures 5–6, the
+//! node-count sweep), `tables6_7` (load balance), `table8` (time-varying),
+//! and the `ablation_{partition,index,metacell}` studies A–C. This library
+//! holds what they share: dataset construction with on-disk caching,
 //! environment knobs, and plain-text table formatting.
 //!
 //! Environment knobs:

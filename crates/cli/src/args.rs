@@ -7,11 +7,15 @@ use std::collections::HashMap;
 pub struct Options {
     map: HashMap<String, String>,
     flags: Vec<String>,
+    /// The option names the command reads, space-separated; nothing else
+    /// parses.
+    known: &'static str,
 }
 
 impl Options {
-    /// Parse `--key value` pairs and bare `--flag`s.
-    pub fn parse(argv: &[String]) -> Result<Options, String> {
+    /// Parse `--key value` pairs and bare `--flag`s, rejecting any option
+    /// not in `known` — a typo must fail loudly, not be silently ignored.
+    pub fn parse(argv: &[String], known: &'static str) -> Result<Options, String> {
         let mut map = HashMap::new();
         let mut flags = Vec::new();
         let mut it = argv.iter().peekable();
@@ -19,6 +23,9 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
+            if !known.split_whitespace().any(|k| k == key) {
+                return Err(format!("unknown option --{key}"));
+            }
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {
                     map.insert(key.to_string(), it.next().unwrap().clone());
@@ -26,11 +33,22 @@ impl Options {
                 _ => flags.push(key.to_string()),
             }
         }
-        Ok(Options { map, flags })
+        Ok(Options { map, flags, known })
+    }
+
+    /// A command reading an option it never declared — one that
+    /// [`Options::parse`] would always reject — is a bug that fails on the
+    /// first run of that code path, not a silently dead option.
+    fn declared(&self, key: &str) {
+        assert!(
+            self.known.split_whitespace().any(|k| k == key),
+            "option --{key} is read but not declared"
+        );
     }
 
     /// Required string option.
     pub fn require(&self, key: &str) -> Result<&str, String> {
+        self.declared(key);
         self.map
             .get(key)
             .map(String::as_str)
@@ -39,16 +57,19 @@ impl Options {
 
     /// Optional string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.declared(key);
         self.map.get(key).map(String::as_str)
     }
 
     /// Whether a bare flag was passed.
     pub fn flag(&self, key: &str) -> bool {
+        self.declared(key);
         self.flags.iter().any(|f| f == key)
     }
 
     /// Optional parsed numeric option with default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.declared(key);
         match self.map.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -59,6 +80,7 @@ impl Options {
 
     /// Optional parsed numeric option without a default — `None` when absent.
     pub fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.declared(key);
         match self.map.get(key) {
             None => Ok(None),
             Some(v) => v
@@ -70,6 +92,7 @@ impl Options {
 
     /// Dimensions option `NXxNYxNZ`.
     pub fn dims(&self, key: &str, default: Dims3) -> Result<Dims3, String> {
+        self.declared(key);
         match self.map.get(key) {
             None => Ok(default),
             Some(v) => {
@@ -87,6 +110,7 @@ impl Options {
 
     /// Tile layout option `CxR`.
     pub fn tiles(&self, key: &str, default: (usize, usize)) -> Result<(usize, usize), String> {
+        self.declared(key);
         match self.map.get(key) {
             None => Ok(default),
             Some(v) => {
@@ -107,8 +131,14 @@ impl Options {
 mod tests {
     use super::*;
 
+    const KNOWN: &str = "db topology iso nodes slots dims other tiles";
+
     fn opts(args: &[&str]) -> Options {
-        Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        Options::parse(
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            KNOWN,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -142,7 +172,7 @@ mod tests {
     #[test]
     fn positional_rejected() {
         let argv = vec!["stray".to_string()];
-        assert!(Options::parse(&argv).is_err());
+        assert!(Options::parse(&argv, KNOWN).is_err());
     }
 
     #[test]

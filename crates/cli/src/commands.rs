@@ -21,8 +21,7 @@ USAGE:
   oociso serve      --db DIR [--addr 127.0.0.1:7077] [--cache-mb N] [--port-file FILE]
                     [--backend mc|surfacenets] [--lods R1,R2|none] [--slots N]
                     [--max-conns N] [--degrade] [--warm-delta D]
-                    [--reactor | --threaded] [--reactor-threads N] [--workers N]
-                    [--outbound-budget-mb N]
+                    [--reactor-threads N] [--workers N] [--outbound-budget-mb N]
                     [--read-timeout-ms N] [--idle-timeout-ms N]
                     [--slow-ms N] [--trace-buffer N]
   oociso query      --addr HOST:PORT (--iso V | --stats) [--lod N]
@@ -52,12 +51,11 @@ admission → extraction phases → encode); `stats` prints the server
 counters, and `stats --metrics` dumps the raw Prometheus-style exposition
 (counters, gauges, latency histograms). `serve --slow-ms N` logs and
 retains a trace for any request slower than N ms; `--trace-buffer N` sizes
-the journal `query --trace` reads from. On Linux `serve` runs the epoll
-reactor core by default (`--reactor-threads N` event loops, request
-pipelining, bounded per-client outbound queues — `--outbound-budget-mb`);
-`--threaded` falls back to the classic thread-per-connection core, the
-only core on other platforms. `--workers N` sizes the reactor's
-extraction pool. `serve --warm-delta D` speculatively pre-extracts v±D
+the journal `query --trace` reads from. `serve` multiplexes every client
+over `--reactor-threads N` event loops (default 2) with request
+pipelining and bounded per-client outbound queues
+(`--outbound-budget-mb`, default 8); `--workers N` sizes the extraction
+pool behind them. `serve --warm-delta D` speculatively pre-extracts v±D
 after each cache-miss at v, using only otherwise-idle extraction slots —
 an isovalue scrub hits the warmed cache instead of extracting. `query
 --progressive` asks for a coarse-to-fine streamed delivery (protocol v6):
@@ -344,26 +342,11 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     // finished request traces `query --trace` can fetch back
     serve_opts.slow_ms = opts.num("slow-ms", serve_opts.slow_ms)?;
     serve_opts.trace_buffer = opts.num("trace-buffer", serve_opts.trace_buffer)?;
-    // serving core: the reactor is the default on Linux; `--threaded`
-    // opts out, and the reactor flags are rejected elsewhere rather than
-    // silently ignored
-    let reactor_supported = cfg!(target_os = "linux");
-    let threaded = opts.flag("threaded");
-    let reactor = opts.flag("reactor") || (reactor_supported && !threaded);
-    if threaded && opts.flag("reactor") {
-        return Err("--reactor and --threaded are mutually exclusive".into());
-    }
-    if reactor && !reactor_supported {
-        return Err("--reactor requires Linux (epoll); use --threaded".into());
-    }
-    if reactor {
-        serve_opts.reactor_threads = opts.num("reactor-threads", 2)?;
-        if serve_opts.reactor_threads == 0 {
-            return Err("--reactor-threads must be at least 1".into());
-        }
-        serve_opts.reactor_workers = opts.num("workers", 0)?;
-        serve_opts.outbound_budget = (opts.num::<usize>("outbound-budget-mb", 8)?).max(1) << 20;
-    }
+    // serving core: event loops, worker pool, per-client outbound budget
+    // (`IsoServer::bind` rejects zero event loops)
+    serve_opts.reactor_threads = opts.num("reactor-threads", serve_opts.reactor_threads)?;
+    serve_opts.reactor_workers = opts.num("workers", serve_opts.reactor_workers)?;
+    serve_opts.outbound_budget = (opts.num::<usize>("outbound-budget-mb", 8)?).max(1) << 20;
     let db = ClusterDatabase::<u8>::open(Path::new(db_dir), true).map_err(err)?;
     let nodes = db.nodes();
     let (reactor_threads, outbound_budget) =
@@ -378,15 +361,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         server.addr(),
         oociso_serve::VERSION,
     );
-    if reactor_threads > 0 {
-        println!(
-            "core: reactor ({} event loop(s), outbound budget {} MiB/conn)",
-            reactor_threads,
-            outbound_budget >> 20
-        );
-    } else {
-        println!("core: threaded (one handler thread per connection)");
-    }
+    println!(
+        "core: reactor ({reactor_threads} event loop(s), outbound budget {} MiB/conn)",
+        outbound_budget >> 20
+    );
     if extraction_slots.is_some() || max_connections.is_some() || degrade {
         println!(
             "admission: {} extraction slot(s), {} connection cap, degraded fallback {}",

@@ -29,25 +29,93 @@ fn main() {
     std::process::exit(code);
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
-    let Some(cmd) = argv.first() else {
-        print!("{}", commands::USAGE);
-        return Ok(());
+/// A subcommand's entry point.
+type Command = fn(&args::Options) -> Result<(), String>;
+
+/// Every subcommand with the options it reads (space-separated);
+/// [`args::Options::parse`] rejects anything else on its command line.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("gen", commands::gen, "out dims step seed field"),
+    (
+        "preprocess",
+        commands::preprocess,
+        "volume db nodes metacell",
+    ),
+    ("info", commands::info, "db"),
+    (
+        "extract",
+        commands::extract,
+        "db iso backend obj topology no-weld decimate",
+    ),
+    ("render", commands::render, "db iso out size tiles"),
+    (
+        "serve",
+        commands::serve,
+        "db addr cache-mb port-file backend lods slots max-conns degrade warm-delta \
+         reactor-threads workers outbound-budget-mb read-timeout-ms idle-timeout-ms \
+         slow-ms trace-buffer",
+    ),
+    (
+        "query",
+        commands::query,
+        "addr iso stats lod backend obj progressive region frame size tiles timeout \
+         retries trace",
+    ),
+    ("stats", commands::stats, "addr metrics"),
+];
+
+/// Resolve a command line to its subcommand and its parsed options.
+fn parse(argv: &[String]) -> Result<(Command, args::Options), String> {
+    let cmd = argv.first().map_or("", String::as_str);
+    let Some(&(_, command, known)) = COMMANDS.iter().find(|(name, _, _)| *name == cmd) else {
+        return Err(format!("unknown subcommand `{cmd}` (try `oociso help`)"));
     };
-    let opts = args::Options::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "gen" => commands::gen(&opts),
-        "preprocess" => commands::preprocess(&opts),
-        "info" => commands::info(&opts),
-        "extract" => commands::extract(&opts),
-        "render" => commands::render(&opts),
-        "serve" => commands::serve(&opts),
-        "query" => commands::query(&opts),
-        "stats" => commands::stats(&opts),
-        "help" | "--help" | "-h" => {
+    Ok((command, args::Options::parse(&argv[1..], known)?))
+}
+
+fn run(argv: &[String]) -> Result<(), String> {
+    match argv.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => {
             print!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown subcommand `{other}` (try `oociso help`)")),
+        Some(_) => {
+            let (command, opts) = parse(argv)?;
+            command(&opts)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn each_subcommand_rejects_options_it_does_not_read() {
+        // the removed serving-core switches, and typos, fail by name...
+        for (line, bad) in [
+            ("serve --db d --threaded", "--threaded"),
+            ("serve --db d --reactor", "--reactor"),
+            ("query --addr a:1 --iso 1 --retry 2", "--retry"),
+            // ...as does another subcommand's option
+            ("stats --addr a:1 --retries 2", "--retries"),
+        ] {
+            let e = parse(&argv(line)).err();
+            assert_eq!(e, Some(format!("unknown option {bad}")), "{line}");
+        }
+        assert!(parse(&argv("bogus")).is_err());
+        // ...while a valid line still parses
+        let (_, opts) = parse(&argv(
+            "serve --db d --addr 127.0.0.1:0 --reactor-threads 4 --workers 2 --degrade",
+        ))
+        .unwrap();
+        assert_eq!(opts.require("db").unwrap(), "d");
+        assert_eq!(opts.num::<usize>("reactor-threads", 2).unwrap(), 4);
+        assert!(opts.flag("degrade"));
+        assert!(parse(&argv("query --addr a:1 --iso 1 --retries 2")).is_ok());
     }
 }

@@ -25,9 +25,9 @@
 //!   test harness.
 //! * **Positioned writes** — [`write_at::WriteAt`]: the portable write-side
 //!   abstraction beneath out-of-core preprocessing.
-//! * **Readiness** — `poll::Poller`/`poll::EventFd` (Linux): a thin,
-//!   dependency-free epoll + eventfd binding, the substrate of the serve
-//!   layer's nonblocking reactor.
+//! * **Readiness** — [`poll::Poller`]/[`poll::EventFd`]: a thin,
+//!   dependency-free `poll(2)` binding plus a socket-pair doorbell, the
+//!   substrate of the serve layer's nonblocking reactor on every unix.
 
 pub mod block;
 pub mod cost;

@@ -12,16 +12,15 @@
 //!   carry an indexed mesh or tile frames), CRC-32 payload checksums,
 //!   structured errors for version/framing violations.
 //! * [`server`] — [`IsoServer`]: one shared
-//!   [`oociso_core::ClusterDatabase`] behind either serving core — the
-//!   classic multi-threaded accept loop (thread per connection), or, with
-//!   [`ServeOptions::reactor_threads`] set, the nonblocking reactor below.
-//! * [`reactor`] — the epoll event-loop core (Linux): N reactor threads
-//!   each own a set of connections with per-connection read/decode →
-//!   dispatch → incremental write-out state machines, request pipelining
-//!   with responses in request order, bounded outbound queues
-//!   (backpressure), and an extraction worker pool signalled back through
-//!   an eventfd. Identical wire and overload semantics to the threaded
-//!   core — the chaos suite runs against both.
+//!   [`oociso_core::ClusterDatabase`] behind the serving core below, plus
+//!   everything about a request that is not I/O — admission, extraction,
+//!   speculative warming, reply building, counters.
+//! * [`reactor`] — the serving core, on `poll(2)` on every unix:
+//!   [`ServeOptions::reactor_threads`] event loops each own a set of
+//!   connections with per-connection read/decode → dispatch → incremental
+//!   write-out state machines, request pipelining with responses in
+//!   request order, bounded outbound queues (backpressure), and an
+//!   extraction worker pool signalled back through a doorbell.
 //! * [`cache`] — [`ResultCache`]: an isovalue-keyed, byte-budgeted LRU of
 //!   extraction results with hit/miss/eviction counters surfaced through
 //!   the stats message, `NodeReport`-style.
@@ -50,7 +49,6 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod protocol;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
 pub mod transport;

@@ -1,9 +1,9 @@
-//! The nonblocking serving core: N epoll event loops, request pipelining,
-//! bounded outbound queues, and an off-loop extraction worker pool.
+//! The serving core: N `poll(2)` event loops, request pipelining, bounded
+//! outbound queues, and an off-loop extraction worker pool.
 //!
 //! ## Ownership model
 //!
-//! Each reactor thread owns one `epoll` instance, an accepted share of the
+//! Each reactor thread owns one [`Poller`], an accepted share of the
 //! connections, and everything about them — buffers, in-order pending
 //! replies, deadlines. A connection is touched by exactly one thread for
 //! its whole life (the reactor that accepted it), so per-connection state
@@ -17,12 +17,12 @@
 //! decoded incrementally ([`crate::protocol::decode_frame_bytes`]). Each
 //! decoded request is **dispatched in arrival order**: validation, cache
 //! probes, and admission control run inline on the event loop (they cost
-//! microseconds), so shed/degrade decisions happen at the same instant
-//! they would on a connection thread. Work that costs milliseconds —
+//! microseconds), so shed/degrade decisions happen the instant a request
+//! is decoded, in arrival order. Work that costs milliseconds —
 //! extraction, pyramid rebuild, rasterization, and the encode of those
 //! large replies — ships to the worker pool together with the extraction
 //! slot it won; the worker posts the encoded frame to the owning reactor's
-//! completion queue and rings its eventfd doorbell.
+//! completion queue and rings its doorbell.
 //!
 //! ## Pipelining and ordering
 //!
@@ -39,19 +39,18 @@
 //! Completed replies enter a per-connection outbound queue written out
 //! incrementally as the socket accepts bytes. When queued-but-unsent bytes
 //! exceed [`crate::server::ServeOptions::outbound_budget`], the reactor
-//! stops *reading* that connection (drops its `EPOLLIN` interest) until
+//! stops *reading* that connection (drops its readable interest) until
 //! the queue drains below half the budget — a client that pipelines
 //! requests but never reads responses stalls itself, not the server.
 //!
-//! ## Equivalence with the threaded core
+//! ## What lives where
 //!
-//! Overload and fault semantics are shared with the threaded core by
-//! construction: both call the same admission (`State::admit_mesh`/
-//! `admit_frame`), the same extraction (`State::pyramid_for`), the same
-//! reply builders, and the same counters. The chaos suite runs its
-//! unmodified assertions against both cores.
-
-#![cfg(target_os = "linux")]
+//! This module owns only I/O: sockets, buffers, ordering, deadlines, and
+//! the hand-off to workers. Everything about what a request *means* —
+//! admission (`State::admit_mesh`/`admit_frame`/`admit_progressive`),
+//! extraction (`State::pyramid_for`), reply building, and the counters —
+//! lives in [`crate::server`]. The chaos suite (`tests/chaos.rs`) pins the
+//! overload and fault contract end to end.
 
 use crate::cache::CachedSurface;
 use crate::protocol::{
@@ -88,8 +87,15 @@ pub(crate) struct ReactorConfig {
 /// of a hypothetical missed wakeup.
 const IDLE_POLL: Duration = Duration::from_millis(1000);
 
+/// How long a loop stops watching the listener after an fd-exhausted
+/// accept: accepting keeps failing until something closes, and the
+/// listener stays readable meanwhile, so retrying at once would only spin
+/// on the CPU the open connections need to finish and free descriptors.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
 /// Over-cap connections get at most this long to present the one frame
-/// their `ERR_BUSY` reply is versioned from (the threaded shed path's cap).
+/// their `ERR_BUSY` reply is versioned from — a shed slot must not be
+/// holdable open.
 const SHED_DEADLINE: Duration = Duration::from_secs(2);
 
 const TOKEN_DOORBELL: u64 = 0;
@@ -114,7 +120,7 @@ struct Completion {
 }
 
 /// Everything needed to account a reply when its last byte reaches the
-/// kernel — the reactor's analogue of the tail of the threaded handler.
+/// kernel.
 struct ReplyMeta {
     root: Option<Span>,
     trace: Option<Trace>,
@@ -211,9 +217,9 @@ struct Conn {
     counted_live: bool,
 }
 
-/// Work shipped to the extraction/render pool. Every variant carries the
-/// request's span + trace (extraction phases land in them, exactly as on a
-/// connection thread) and its reply slot coordinates.
+/// Work shipped to the extraction/render pool. Every variant travels in an
+/// [`Envelope`] with the request's span + trace (extraction phases land in
+/// them) and its reply slot coordinates.
 enum Job<S: ScalarValue> {
     Mesh {
         iso: f32,
@@ -279,7 +285,7 @@ pub(crate) fn spawn<S: ScalarValue>(
     cfg: ReactorConfig,
 ) -> io::Result<JoinHandle<()>> {
     let listener = Arc::new(listener);
-    let reactors = cfg.reactors.max(1);
+    let reactors = cfg.reactors;
     let workers = if cfg.workers == 0 {
         // extraction fans out internally; a handful of workers keeps misses
         // and rasterization flowing without oversubscribing small hosts
@@ -342,6 +348,7 @@ pub(crate) fn spawn<S: ScalarValue>(
             budget: cfg.outbound_budget,
             meters: meters.clone(),
             fd_starved: false,
+            accept_paused_until: None,
         };
         reactor.poller.register(
             &reactor.mailbox.doorbell,
@@ -594,6 +601,8 @@ struct Reactor<S: ScalarValue> {
     budget: usize,
     meters: Meters,
     fd_starved: bool,
+    /// Listener unwatched until then, after fd exhaustion.
+    accept_paused_until: Option<Instant>,
 }
 
 impl<S: ScalarValue> Reactor<S> {
@@ -611,9 +620,10 @@ impl<S: ScalarValue> Reactor<S> {
                     break;
                 }
             }
+            self.resume_accepting();
             let timeout = self.next_deadline().min(IDLE_POLL);
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                break; // a broken epoll fd is unrecoverable
+                break; // a failing poll(2) is unrecoverable
             }
             let t0 = Instant::now();
             self.meters.wakeups.inc();
@@ -643,6 +653,7 @@ impl<S: ScalarValue> Reactor<S> {
         if self.accepting {
             let _ = self.poller.deregister(&*self.listener);
             self.accepting = false;
+            self.accept_paused_until = None;
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for t in tokens {
@@ -669,8 +680,7 @@ impl<S: ScalarValue> Reactor<S> {
                 }
             }
             // connection already closed: the reply is dropped (its span
-            // finalizes via Drop) — same as a threaded handler finding the
-            // peer gone
+            // finalizes via Drop)
         }
         touched.dedup();
         for t in touched {
@@ -697,10 +707,35 @@ impl<S: ScalarValue> Reactor<S> {
                         &e,
                         &mut self.fd_starved,
                     );
-                    break; // level-triggered epoll re-reports pending accepts
+                    let unwatched = Interest {
+                        readable: false,
+                        writable: false,
+                    };
+                    if self
+                        .poller
+                        .modify(&*self.listener, TOKEN_LISTENER, unwatched)
+                        .is_ok()
+                    {
+                        self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    }
+                    break;
                 }
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Watch the listener again once an fd-exhaustion backoff has passed.
+    fn resume_accepting(&mut self) {
+        if self
+            .accept_paused_until
+            .is_some_and(|until| Instant::now() >= until)
+            && self
+                .poller
+                .modify(&*self.listener, TOKEN_LISTENER, Interest::READABLE)
+                .is_ok()
+        {
+            self.accept_paused_until = None;
         }
     }
 
@@ -850,7 +885,7 @@ impl<S: ScalarValue> Reactor<S> {
 
         if conn.shed {
             // over the connection cap: one ERR_BUSY in the client's own
-            // dialect, then close — the threaded shed path, pipelined
+            // dialect, then close — honest shedding, never a silent drop
             let version = match &frame {
                 FrameIn::Ok { version, .. } => *version,
                 FrameIn::Violation { version, .. } => *version,
@@ -957,14 +992,13 @@ impl<S: ScalarValue> Reactor<S> {
         msg: Message,
         version: u16,
         trace: Trace,
-        mut root: Span,
+        root: Span,
     ) -> Classified {
         let state = self.state.clone();
-        let inline = |reply: Reply, mut root: Span, trace: Trace, trace_id: u64| {
+        let inline = |reply: Reply, root: Span, trace: Trace, trace_id: u64| {
             let t_enc = Instant::now();
             let bytes = reply.finalize(&state, version);
             root.annotate("encode", t_enc.elapsed(), &[("bytes", bytes.len() as u64)]);
-            let _ = &mut root;
             Classified::Inline(vec![OutPayload {
                 bytes,
                 meta: ReplyMeta {
@@ -1167,11 +1201,9 @@ impl<S: ScalarValue> Reactor<S> {
             }
             other => {
                 // stats/ping/metrics/trace and confused client messages:
-                // the shared respond() path, inline (all sub-millisecond)
+                // respond() answers them inline (all sub-millisecond)
                 let trace_id = request_trace_id(&other);
-                let reply = respond(&state, other, version, &trace, &root);
-                let _ = &mut root;
-                inline(reply, root, trace, trace_id)
+                inline(respond(&state, other, version), root, trace, trace_id)
             }
         }
     }
@@ -1267,10 +1299,9 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// Enforce per-connection deadlines (the reactor's replacement for
-    /// `SO_RCVTIMEO`/`SO_SNDTIMEO`): mid-frame read stalls, write stalls,
-    /// idle connections, and over-cap connections that never sent their
-    /// first frame.
+    /// Enforce per-connection deadlines, all progress-based: mid-frame read
+    /// stalls, write stalls, idle connections, and over-cap connections
+    /// that never sent their first frame.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let state = self.state.clone();
@@ -1282,8 +1313,8 @@ impl<S: ScalarValue> Reactor<S> {
                     .unwrap_or(SHED_DEADLINE)
                     .min(SHED_DEADLINE);
                 if conn.pending.is_empty() && now.duration_since(conn.accepted_at) >= cap {
-                    doomed.push(token); // never presented a frame: no counter,
-                                        // exactly like the threaded shed path
+                    // never presented a frame: closed uncounted
+                    doomed.push(token);
                 }
                 continue;
             }
@@ -1325,7 +1356,7 @@ impl<S: ScalarValue> Reactor<S> {
         }
     }
 
-    /// How long the next `epoll_wait` may sleep before some deadline needs
+    /// How long the next poll may sleep before some deadline needs
     /// enforcement.
     fn next_deadline(&self) -> Duration {
         let now = Instant::now();
@@ -1337,6 +1368,9 @@ impl<S: ScalarValue> Reactor<S> {
                 min = left;
             }
         };
+        if let Some(until) = self.accept_paused_until {
+            consider(until);
+        }
         for conn in self.conns.values() {
             if conn.shed {
                 let cap = state
@@ -1380,8 +1414,7 @@ impl<S: ScalarValue> Reactor<S> {
 }
 
 /// Account one fully written reply — byte counters, latency histogram,
-/// journals, slow-query log, drain bookkeeping. The mirror of the tail of
-/// the threaded `handle_connection`.
+/// journals, slow-query log, drain bookkeeping.
 fn finish_reply<S: ScalarValue>(
     state: &Arc<State<S>>,
     frame_len: usize,

@@ -1,12 +1,14 @@
-//! The multi-threaded TCP query server.
+//! The TCP query server: its options, shared state, and admission logic.
 //!
-//! One accept loop, one OS thread per connection (the paper's cluster serves
-//! a handful of display clients; thread-per-connection keeps the handler a
-//! plain blocking loop). Every handler shares one [`oociso_core::ClusterDatabase`]
-//! — extraction already fans out across node threads and per-node worker
-//! pools internally, so concurrent requests ride the existing streaming
-//! extraction path — plus one [`ResultCache`] behind a mutex (held only for
-//! lookup/insert, never across an extraction).
+//! [`IsoServer::bind`] hands the listener to the serving core in
+//! [`crate::reactor`] (event loops plus an extraction worker pool). All
+//! serving shares one [`oociso_core::ClusterDatabase`] — extraction already
+//! fans out across node threads and per-node worker pools internally, so
+//! concurrent requests ride the existing streaming extraction path — plus
+//! one [`ResultCache`] behind a mutex (held only for lookup/insert, never
+//! across an extraction). This module owns everything about a request that
+//! is not I/O: admission, extraction, the warm queue, reply building, and
+//! the counters.
 //!
 //! With [`ServeOptions::lod_ratios`] configured the server builds the LOD
 //! pyramid once per cache-missed isovalue (post-weld, via
@@ -37,21 +39,18 @@
 use crate::cache::{CachedSurface, ResultCache};
 use crate::protocol::{
     encode_frame_at, encode_mesh_chunk_frame, encode_mesh_response_frame,
-    encode_stats_response_frame, read_frame_limited, FrameIn, FrameParams, Message, Region,
-    ServerReport, TraceEvent, ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED,
-    MAX_LOD_LEVELS, MAX_REQUEST_PAYLOAD, MIN_PROGRESSIVE_VERSION,
+    encode_stats_response_frame, FrameParams, Message, Region, ServerReport, TraceEvent,
+    ERR_BAD_BACKEND, ERR_BAD_LOD, ERR_BUSY, ERR_INTERNAL, ERR_MALFORMED, MAX_LOD_LEVELS,
 };
 use oociso_cluster::LodSpec;
 use oociso_core::ClusterDatabase;
 use oociso_march::Backend;
-use oociso_obs::{
-    Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal, DEFAULT_TRACE_EVENTS,
-};
+use oociso_obs::{Counter, Histogram, Logger, Registry, Span, Trace, TraceJournal};
 use oociso_render::{rasterize_mesh, select_tile_levels, Camera, Framebuffer, TileLayout};
 use oociso_volume::ScalarValue;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -89,8 +88,10 @@ pub struct ServeOptions {
     /// stalls (slowloris) is disconnected and counted `timed_out`. Default
     /// 30 s; `None` waits forever (the pre-v3 behavior).
     pub read_timeout: Option<Duration>,
-    /// Socket write deadline for responses (a reader that stops draining a
-    /// multi-hundred-MB mesh can't pin a handler forever). Default 30 s.
+    /// Write-stall deadline for responses: a connection with queued reply
+    /// bytes that makes no write progress for this long is cut and counted
+    /// `timed_out` (a reader that stops draining a multi-hundred-MB mesh
+    /// can't pin server memory forever). Default 30 s.
     pub write_timeout: Option<Duration>,
     /// Close connections that sit idle *between* frames longer than this
     /// (counted `timed_out`). `None` (the default) keeps them forever.
@@ -114,20 +115,17 @@ pub struct ServeOptions {
     /// `slow_query`, `drain_timeout`). Default logs to stderr; tests
     /// install an `oociso_obs::CaptureSink` to assert on events.
     pub logger: Logger,
-    /// Nonblocking reactor core: `N > 0` serves with `N` epoll event-loop
-    /// threads (Linux only), each owning a set of connections — request
-    /// pipelining, bounded outbound queues, no per-connection thread. `0`
-    /// (the library default) keeps the classic thread-per-connection core.
-    /// The CLI defaults to the reactor (`serve --threaded` opts out). On
-    /// non-Linux targets a nonzero value falls back to the threaded core.
+    /// Event-loop threads of the serving core, each owning a set of
+    /// connections — request pipelining, bounded outbound queues, no
+    /// per-connection thread. Must be at least 1 ([`IsoServer::bind`]
+    /// rejects 0). Default 2.
     pub reactor_threads: usize,
-    /// Extraction/render worker threads behind the reactor (cache misses
-    /// and rasterization run here; the event loops never block on them).
-    /// `0` (the default) sizes the pool automatically. Ignored by the
-    /// threaded core, whose connection threads do their own work.
+    /// Extraction/render worker threads behind the event loops (cache
+    /// misses and rasterization run here; the loops never block on them).
+    /// `0` (the default) sizes the pool automatically.
     pub reactor_workers: usize,
-    /// Per-connection outbound byte budget (reactor only): once a client's
-    /// queued-but-unsent responses exceed it, the reactor stops *reading*
+    /// Per-connection outbound byte budget: once a client's
+    /// queued-but-unsent responses exceed it, the server stops *reading*
     /// that client until the queue drains below half — backpressure, so a
     /// pipelining client that never reads cannot balloon server memory.
     /// Default 8 MiB.
@@ -161,7 +159,7 @@ impl Default for ServeOptions {
             slow_ms: 1000,
             trace_buffer: 64,
             logger: Logger::stderr(),
-            reactor_threads: 0,
+            reactor_threads: 2,
             reactor_workers: 0,
             outbound_budget: 8 << 20,
             warm_delta: None,
@@ -170,20 +168,20 @@ impl Default for ServeOptions {
 }
 
 /// Shared shutdown/drain flags and the live-connection gauge — what
-/// [`IsoServer::drain`] coordinates with the accept loop and every handler.
+/// [`IsoServer::drain`] coordinates with the event loops and the warmer.
 pub(crate) struct Control {
-    /// Hard stop: accept loop exits, handlers close at the next frame
-    /// boundary or poll tick.
+    /// Hard stop: event loops close every connection and exit.
     pub(crate) shutdown: AtomicBool,
-    /// Graceful phase: accept loop exits, handlers finish the request they
-    /// are on (replies counted `drained`) and close at the frame boundary.
+    /// Graceful phase: event loops stop accepting and parsing, finish the
+    /// requests already dispatched (replies counted `drained`), and close
+    /// each connection once its replies are flushed.
     pub(crate) draining: AtomicBool,
-    /// Connections currently inside a handler (the admission-cap gauge and
+    /// Admitted connections currently open (the admission-cap gauge and
     /// what drain waits on).
     pub(crate) live: AtomicU64,
-    /// Out-of-band wakeups registered by blocking serving cores (the
-    /// reactor's eventfd doorbells), rung whenever a flag above flips so a
-    /// parked event loop notices immediately instead of at its next tick.
+    /// Out-of-band wakeups (the event loops' doorbells, the warmer's
+    /// condvar), rung whenever a flag above flips so a parked thread
+    /// notices immediately instead of at its next tick.
     pub(crate) wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
@@ -268,7 +266,7 @@ pub(crate) struct WarmQueue {
     cv: Condvar,
 }
 
-/// Shared state behind every connection handler.
+/// Shared state behind every event loop, worker, and the warmer.
 pub(crate) struct State<S: ScalarValue> {
     db: ClusterDatabase<S>,
     lods: LodSpec,
@@ -362,27 +360,13 @@ pub(crate) enum MeshOutcome {
     },
 }
 
-/// What admission control decided for one frame request.
-pub(crate) enum FrameOutcome {
-    Serve {
-        levels: Vec<Arc<CachedSurface>>,
-        cache_hit: bool,
-    },
-    Busy {
-        retry_after_ms: u32,
-    },
-}
-
 /// A mesh request's admission verdict with the *work* still unexecuted —
-/// what the reactor dispatches on. [`State::surface`] (the threaded path)
-/// and the reactor worker both complete an `Extract` through
-/// [`State::pyramid_for`], so the two cores share admission and extraction
-/// semantics by construction, not by parallel maintenance.
+/// what the event loop dispatches on. A worker completes an `Extract`
+/// through [`State::pyramid_for`].
 pub(crate) enum MeshAdmit<S: ScalarValue> {
     /// Hit, degraded serve, or busy: the outcome is already in hand.
     Ready(MeshOutcome),
-    /// Miss that won a slot: extraction still to run (off-loop, for the
-    /// reactor; inline, for a connection thread).
+    /// Miss that won a slot: extraction still to run, on a worker.
     Extract { slot: SlotGuard<S> },
 }
 
@@ -899,39 +883,14 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Level `lod` of the surface at `iso`, under admission control. A
-    /// cache hit is always served (one accounted lookup against `lod`,
-    /// exactly as before). A miss must win an extraction slot; at capacity
-    /// the request degrades to the finest cached coarser level (when
-    /// [`ServeOptions::degrade`] is set and one is resident — booked as a
-    /// hit on the level actually served) or is shed with a retry hint.
-    fn surface(
-        self: &Arc<Self>,
-        iso: f32,
-        backend: Backend,
-        lod: u16,
-        trace: &Trace,
-        root: &Span,
-    ) -> io::Result<MeshOutcome> {
-        match self.admit_mesh(iso, backend, lod, root) {
-            MeshAdmit::Ready(outcome) => Ok(outcome),
-            MeshAdmit::Extract { slot } => {
-                let levels = self.pyramid_for(iso, backend, trace)?;
-                drop(slot);
-                Ok(MeshOutcome::Serve {
-                    surface: levels[lod as usize].clone(),
-                    cache_hit: false,
-                    served_lod: lod,
-                    degraded: false,
-                })
-            }
-        }
-    }
-
-    /// The admission half of [`State::surface`]: probe the cache, try for a
-    /// slot, degrade or shed at capacity. Everything here is cheap (mutexed
-    /// lookups and atomics, no extraction), so the reactor runs it inline
-    /// on the event loop; only an `Extract` verdict leaves for a worker.
+    /// Admission for level `lod` of the surface at `iso`. A cache hit is
+    /// always served (one accounted lookup against `lod`). A miss must win
+    /// an extraction slot; at capacity the request degrades to the finest
+    /// cached coarser level (when [`ServeOptions::degrade`] is set and one
+    /// is resident — booked as a hit on the level actually served) or is
+    /// shed with a retry hint. Everything here is cheap (mutexed lookups
+    /// and atomics, no extraction), so the event loop runs it inline; only
+    /// an `Extract` verdict leaves for a worker.
     pub(crate) fn admit_mesh(
         self: &Arc<Self>,
         iso: f32,
@@ -1051,44 +1010,15 @@ impl<S: ScalarValue> State<S> {
         }
     }
 
-    /// Every pyramid level at `iso` for the frame path, under admission
-    /// control. The request is accounted as exactly one lookup against
-    /// level 0 (what a v1 frame request cost): a hit only when the *whole*
+    /// Admission for a frame request, which needs every pyramid level at
+    /// `iso`. The request is accounted as exactly one lookup against level
+    /// 0 (what a v1 frame request cost): a hit only when the *whole*
     /// pyramid is resident, a miss otherwise — the levels are peeked first,
     /// so a partially evicted pyramid never books a hit for a request that
-    /// still has to rebuild. When level 0 survived but a coarser level was
-    /// evicted, the pyramid is re-decimated from the resident full mesh —
-    /// deterministic, so byte-identical to the original levels — without
-    /// touching disk. A miss that can't win a slot is shed (frames have no
-    /// degraded form: per-tile LOD selection needs the whole pyramid).
-    fn all_levels(
-        self: &Arc<Self>,
-        iso: f32,
-        trace: &Trace,
-        root: &Span,
-    ) -> io::Result<FrameOutcome> {
-        match self.admit_frame(iso, root) {
-            FrameAdmit::Hit(levels) => Ok(FrameOutcome::Serve {
-                levels,
-                cache_hit: true,
-            }),
-            FrameAdmit::Busy { retry_after_ms } => Ok(FrameOutcome::Busy { retry_after_ms }),
-            FrameAdmit::Extract {
-                slot,
-                resident_full,
-            } => {
-                let levels = self.complete_frame_extract(iso, resident_full, trace)?;
-                drop(slot);
-                Ok(FrameOutcome::Serve {
-                    levels,
-                    cache_hit: false,
-                })
-            }
-        }
-    }
-
-    /// The admission half of [`State::all_levels`] (see [`State::admit_mesh`]
-    /// for why the split exists).
+    /// still has to rebuild. A miss that wins a slot carries the resident
+    /// level 0, if any, so the worker re-decimates instead of touching
+    /// disk; one that can't is shed (frames have no degraded form:
+    /// per-tile LOD selection needs the whole pyramid).
     pub(crate) fn admit_frame(self: &Arc<Self>, iso: f32, root: &Span) -> FrameAdmit<S> {
         let want = self.levels() as usize;
         // frame requests carry no backend selector: they render the server's
@@ -1150,15 +1080,16 @@ impl<S: ScalarValue> State<S> {
     }
 }
 
-/// A running server: the bound address plus the accept-loop handle.
+/// A running server: the bound address plus the serving core's handle.
 ///
-/// Dropping the handle without calling [`IsoServer::stop`] leaves the accept
-/// loop running detached until the process exits (what the CLI's foreground
+/// Dropping the handle without calling [`IsoServer::stop`] leaves the core
+/// running detached until the process exits (what the CLI's foreground
 /// `serve` does by parking forever).
 pub struct IsoServer {
     addr: SocketAddr,
     ctl: Arc<Control>,
-    accept_loop: Option<JoinHandle<()>>,
+    /// Joins the event loops and the worker pool once they have exited.
+    core: Option<JoinHandle<()>>,
     /// The speculative-warming thread, when warming is enabled (exits on
     /// drain/shutdown; joined so its extraction finishes before teardown).
     warmer: Option<JoinHandle<()>>,
@@ -1209,10 +1140,15 @@ impl IsoServer {
                 ));
             }
         }
+        if opts.reactor_threads == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "reactor_threads must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // polling accept loop: nonblocking listener + short sleep lets
-        // `stop()` take effect without a wake-up connection
+        // every event loop watches the listener for readiness
         listener.set_nonblocking(true)?;
         let state = State::new(db, &opts);
         let ctl = state.ctl.clone();
@@ -1230,30 +1166,19 @@ impl IsoServer {
         let report_state = state.clone();
         let metrics_state = state.clone();
         let logger = opts.logger.clone();
-        #[cfg(target_os = "linux")]
-        let accept_loop = if opts.reactor_threads > 0 {
-            crate::reactor::spawn(
-                listener,
-                state,
-                crate::reactor::ReactorConfig {
-                    reactors: opts.reactor_threads,
-                    workers: opts.reactor_workers,
-                    outbound_budget: opts.outbound_budget.max(1),
-                },
-            )?
-        } else {
-            std::thread::Builder::new()
-                .name("oociso-accept".to_string())
-                .spawn(move || accept_loop(listener, state))?
-        };
-        #[cfg(not(target_os = "linux"))]
-        let accept_loop = std::thread::Builder::new()
-            .name("oociso-accept".to_string())
-            .spawn(move || accept_loop(listener, state))?;
+        let core = crate::reactor::spawn(
+            listener,
+            state,
+            crate::reactor::ReactorConfig {
+                reactors: opts.reactor_threads,
+                workers: opts.reactor_workers,
+                outbound_budget: opts.outbound_budget.max(1),
+            },
+        )?;
         Ok(IsoServer {
             addr,
             ctl,
-            accept_loop: Some(accept_loop),
+            core: Some(core),
             warmer,
             report: Arc::new(move || report_state.report()),
             metrics: Arc::new(move || metrics_state.metrics_text()),
@@ -1284,7 +1209,7 @@ impl IsoServer {
     /// Graceful drain: stop accepting, let every in-flight request finish
     /// (replies completed during the drain are counted `drained`), then
     /// hard-close whatever is left when `deadline` expires and join the
-    /// accept loop. Returns the final counters.
+    /// serving core. Returns the final counters.
     pub fn drain(mut self, deadline: Duration) -> ServerReport {
         self.ctl.draining.store(true, Ordering::SeqCst);
         self.ctl.wake_all();
@@ -1306,7 +1231,7 @@ impl IsoServer {
         }
         self.ctl.shutdown.store(true, Ordering::SeqCst);
         self.ctl.wake_all();
-        if let Some(h) = self.accept_loop.take() {
+        if let Some(h) = self.core.take() {
             let _ = h.join();
         }
         if let Some(h) = self.warmer.take() {
@@ -1399,117 +1324,6 @@ fn warmer_loop<S: ScalarValue>(state: Arc<State<S>>) {
     }
 }
 
-fn accept_loop<S: ScalarValue>(listener: TcpListener, state: Arc<State<S>>) {
-    let ctl = state.ctl.clone();
-    let mut fd_starved = false;
-    while !ctl.shutdown.load(Ordering::SeqCst) && !ctl.draining.load(Ordering::SeqCst) {
-        // drain the whole backlog before parking: a burst of K simultaneous
-        // connects is accepted in one pass, not serialized behind one 2 ms
-        // park per connection
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    fd_starved = false;
-                    accept_one(stream, &state);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if fd_exhausted(&e) => {
-                    note_fd_exhaustion(
-                        &state.c.accept_backoffs,
-                        &state.logger,
-                        &e,
-                        &mut fd_starved,
-                    );
-                    std::thread::park_timeout(Duration::from_millis(100));
-                    break;
-                }
-                Err(_) => {
-                    std::thread::park_timeout(Duration::from_millis(10));
-                    break;
-                }
-            }
-        }
-        std::thread::park_timeout(Duration::from_millis(2));
-    }
-}
-
-/// Hand one freshly accepted connection to its handler thread (or the shed
-/// path when over the connection cap).
-fn accept_one<S: ScalarValue>(stream: TcpStream, state: &Arc<State<S>>) {
-    let ctl = &state.ctl;
-    state.c.connections.inc();
-    let over = state
-        .max_connections
-        .is_some_and(|cap| ctl.live.load(Ordering::SeqCst) >= cap as u64);
-    if over {
-        // over the cap: a short-lived handler answers one ERR_BUSY (at
-        // whatever version the client speaks) and closes — honest
-        // shedding, not a silent drop. It does not count toward `live`,
-        // so shed handlers can never starve real ones.
-        let state = state.clone();
-        let _ = std::thread::Builder::new()
-            .name("oociso-shed".to_string())
-            .spawn(move || {
-                let _ = shed_connection(stream, &state);
-            });
-        return;
-    }
-    ctl.live.fetch_add(1, Ordering::SeqCst);
-    let state = state.clone();
-    let spawned = std::thread::Builder::new()
-        .name("oociso-conn".to_string())
-        .spawn({
-            let state = state.clone();
-            move || {
-                // connection errors (peer vanished mid-frame) end the
-                // handler; the server itself is unaffected
-                let _ = handle_connection(stream, &state);
-                state.ctl.live.fetch_sub(1, Ordering::SeqCst);
-            }
-        });
-    if spawned.is_err() {
-        // thread exhaustion: the connection is dropped, but the
-        // gauge must not leak or the cap wedges shut
-        state.ctl.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Answer one over-capacity connection: read its first frame (under the
-/// request cap and a short deadline — a shed slot must not be holdable
-/// open), reply `ERR_BUSY` in the client's own dialect, close.
-fn shed_connection<S: ScalarValue>(mut stream: TcpStream, state: &State<S>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let deadline = Some(
-        state
-            .read_timeout
-            .unwrap_or(Duration::from_secs(2))
-            .min(Duration::from_secs(2)),
-    );
-    stream.set_read_timeout(deadline)?;
-    stream.set_write_timeout(deadline)?;
-    let version = match read_frame_limited(&mut stream, MAX_REQUEST_PAYLOAD)? {
-        None => return Ok(()),
-        Some(FrameIn::Ok { version, .. }) => version,
-        Some(FrameIn::Violation { version, .. }) => version,
-    };
-    state.c.shed.inc();
-    state.c.requests.inc();
-    state.c.errors.inc();
-    let hint = state.retry_hint_ms();
-    let frame = encode_frame_at(
-        version,
-        &Message::Error {
-            code: ERR_BUSY,
-            detail: format!("connection limit reached; retry in {hint} ms"),
-            retry_after_ms: Some(hint),
-        },
-    );
-    stream.write_all(&frame)?;
-    stream.flush()?;
-    state.c.bytes_out.add(frame.len() as u64);
-    Ok(())
-}
-
 /// A computed response: either a message still to encode, or a frame
 /// pre-encoded from borrowed data (the cache-hit path, which must not clone
 /// the cached mesh; stats, whose payload layout is version-dependent).
@@ -1522,8 +1336,8 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// Encode at the client's dialect, booking the error counter exactly as
-    /// the threaded core does — both serving cores finish a reply here.
+    /// Encode at the client's dialect, booking the error counter — every
+    /// single-frame reply, inline or from a worker, finishes here.
     pub(crate) fn finalize<S: ScalarValue>(self, state: &State<S>, version: u16) -> Vec<u8> {
         if matches!(self, Reply::Msg(Message::Error { .. })) {
             state.c.errors.inc();
@@ -1535,34 +1349,6 @@ impl Reply {
     }
 }
 
-/// Granularity at which a parked handler re-checks the drain/shutdown
-/// flags while waiting for the next frame. This tick bounds only how fast a
-/// *drain* takes effect on an idle connection — never data latency: the
-/// blocking read below returns the moment a byte arrives, and the idle
-/// deadline is enforced from its true remainder, not quantized to ticks.
-/// (The previous 25 ms tick was also harmless to data latency for the same
-/// reason, but computing the real remainder makes that property explicit
-/// and lets the flag tick be coarse.)
-const FLAG_TICK: Duration = Duration::from_millis(100);
-
-/// Why the frame-boundary wait ended without a frame.
-enum Boundary {
-    /// The first byte of a new frame arrived.
-    Frame(u8),
-    /// Clean close: peer EOF, drain/shutdown, or idle timeout (the latter
-    /// already counted).
-    Close,
-}
-
-/// `SO_RCVTIMEO`/`SO_SNDTIMEO` expiry surfaces as `WouldBlock` on Unix and
-/// `TimedOut` on Windows; treat both as the deadline firing.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// The wire trace id a request carries, if its type can carry one.
 pub(crate) fn request_trace_id(msg: &Message) -> u64 {
     match msg {
@@ -1570,231 +1356,6 @@ pub(crate) fn request_trace_id(msg: &Message) -> u64 {
         | Message::FrameRequest { trace_id, .. }
         | Message::ProgressiveRequest { trace_id, .. } => *trace_id,
         _ => 0,
-    }
-}
-
-/// How one reply write ended.
-enum Sent {
-    Ok,
-    /// The peer stopped draining (write deadline fired): counted
-    /// `timed_out`, connection to be closed.
-    PeerGone,
-}
-
-/// Write one reply frame under the write deadline, booking `bytes_out`.
-fn send_reply<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &State<S>,
-    bytes: &[u8],
-) -> io::Result<Sent> {
-    match stream.write_all(bytes).and_then(|_| stream.flush()) {
-        Ok(()) => {
-            state.c.bytes_out.add(bytes.len() as u64);
-            Ok(Sent::Ok)
-        }
-        Err(e) if is_timeout(&e) => {
-            state.c.timed_out.inc();
-            Ok(Sent::PeerGone)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Park at a frame boundary until the next request's first byte arrives.
-/// The socket read blocks for the *true* remaining idle budget (capped by
-/// [`FLAG_TICK`] only so drain/shutdown stay responsive): data wakes it
-/// immediately, the idle deadline fires at its actual remainder. Returns
-/// the byte so the frame reader can prepend it.
-fn wait_for_frame<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &State<S>,
-) -> io::Result<Boundary> {
-    let parked = Instant::now();
-    let mut byte = [0u8; 1];
-    loop {
-        if state.ctl.shutdown.load(Ordering::SeqCst) || state.ctl.draining.load(Ordering::SeqCst) {
-            return Ok(Boundary::Close);
-        }
-        let wait = match state.idle_timeout {
-            Some(idle) => {
-                let remaining = idle.saturating_sub(parked.elapsed());
-                if remaining.is_zero() {
-                    state.c.timed_out.inc();
-                    return Ok(Boundary::Close);
-                }
-                remaining.min(FLAG_TICK)
-            }
-            None => FLAG_TICK,
-        };
-        // set_read_timeout(0) would mean "block forever"; floor at 1 ms
-        stream.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-        match stream.read(&mut byte) {
-            Ok(0) => return Ok(Boundary::Close),
-            Ok(_) => return Ok(Boundary::Frame(byte[0])),
-            Err(e) if is_timeout(&e) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// A reader that replays the frame's first byte (consumed by the boundary
-/// poll) before handing through to the socket.
-struct Prefixed<'a> {
-    first: Option<u8>,
-    inner: &'a mut TcpStream,
-}
-
-impl Read for Prefixed<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
-/// Serve one connection until EOF, a deadline, a drain, a hard I/O error,
-/// or an unrecoverable protocol violation. Requests are read under
-/// [`MAX_REQUEST_PAYLOAD`]: a hostile length header is rejected before any
-/// payload allocation. Every reply frame is stamped with the protocol
-/// version the request spoke, so older clients keep parsing a v3 server's
-/// answers.
-fn handle_connection<S: ScalarValue>(
-    mut stream: TcpStream,
-    state: &Arc<State<S>>,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(state.write_timeout)?;
-    loop {
-        // between frames: poll so drain/shutdown/idle are honored...
-        let first = match wait_for_frame(&mut stream, state)? {
-            Boundary::Close => return Ok(()),
-            Boundary::Frame(b) => b,
-        };
-        // ...inside a frame: the full read deadline applies — a peer that
-        // stalls mid-frame (slowloris) is cut, not waited on forever
-        stream.set_read_timeout(state.read_timeout)?;
-        let mut reader = Prefixed {
-            first: Some(first),
-            inner: &mut stream,
-        };
-        let frame = match read_frame_limited(&mut reader, MAX_REQUEST_PAYLOAD) {
-            Ok(None) => return Ok(()), // EOF exactly at the boundary byte
-            Ok(Some(f)) => f,
-            Err(e) if is_timeout(&e) => {
-                state.c.timed_out.inc();
-                return Ok(());
-            }
-            // peer vanished mid-frame: close without ceremony
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        state.c.requests.inc();
-        match frame {
-            FrameIn::Violation {
-                code,
-                detail,
-                close,
-                version,
-            } => {
-                state.c.errors.inc();
-                let bytes = encode_frame_at(
-                    version,
-                    &Message::Error {
-                        code,
-                        detail,
-                        retry_after_ms: None,
-                    },
-                );
-                if matches!(send_reply(&mut stream, state, &bytes)?, Sent::PeerGone) {
-                    return Ok(());
-                }
-                if state.ctl.draining.load(Ordering::SeqCst) {
-                    state.c.drained.inc();
-                }
-                if close {
-                    return Ok(());
-                }
-            }
-            FrameIn::Ok { msg, version } => {
-                // every well-formed request gets a trace; only requests that
-                // carried a wire id land in the recent journal (slow ones are
-                // retained regardless)
-                let trace_id = request_trace_id(&msg);
-                let trace = if trace_id != 0 {
-                    Trace::new(trace_id, DEFAULT_TRACE_EVENTS)
-                } else {
-                    Trace::detached()
-                };
-                let mut root = trace.span("request");
-                root.field("msg_type", msg.msg_type() as u64);
-                root.field("version", version as u64);
-                // progressive requests write several reply frames, so they
-                // bypass the single-`Reply` funnel; everything else is
-                // unchanged
-                let sent = if let Message::ProgressiveRequest {
-                    iso,
-                    lod,
-                    backend,
-                    trace_id: wire_id,
-                } = msg
-                {
-                    serve_progressive(
-                        &mut stream,
-                        state,
-                        ProgressiveParams {
-                            iso,
-                            lod,
-                            backend,
-                            trace_id: wire_id,
-                            version,
-                        },
-                        &trace,
-                        &root,
-                    )?
-                } else {
-                    let reply = respond(state, msg, version, &trace, &root);
-                    let t_enc = Instant::now();
-                    let frame_bytes = reply.finalize(state, version);
-                    root.annotate(
-                        "encode",
-                        t_enc.elapsed(),
-                        &[("bytes", frame_bytes.len() as u64)],
-                    );
-                    send_reply(&mut stream, state, &frame_bytes)?
-                };
-                let total = root.finish();
-                state.request_latency_us.record_duration(total);
-                if trace_id != 0 {
-                    state.recent.push(&trace, total);
-                }
-                if state.slow_ms > 0 && total >= Duration::from_millis(state.slow_ms) {
-                    state.slow.push(&trace, total);
-                    state.logger.warn(
-                        "serve",
-                        "slow_query",
-                        format!("request took {} ms", total.as_millis()),
-                        &[
-                            ("trace_id", trace_id.to_string()),
-                            ("threshold_ms", state.slow_ms.to_string()),
-                        ],
-                    );
-                }
-                if matches!(sent, Sent::PeerGone) {
-                    return Ok(());
-                }
-                if state.ctl.draining.load(Ordering::SeqCst) {
-                    // this reply completed during the graceful drain
-                    state.c.drained.inc();
-                }
-            }
-        }
     }
 }
 
@@ -1887,9 +1448,10 @@ pub(crate) fn internal_error_reply(e: &io::Error) -> Reply {
     })
 }
 
-/// Turn a decided mesh outcome into its reply — both serving cores funnel
-/// through here, so region filtering, the borrowed-mesh encode path, and
-/// the trace-id echo cannot diverge between them.
+/// Turn a decided mesh outcome into its reply — hits answered on the event
+/// loop and misses completed by a worker both funnel through here, so
+/// region filtering, the borrowed-mesh encode path, and the trace-id echo
+/// cannot diverge between them.
 pub(crate) fn mesh_outcome_reply(
     outcome: MeshOutcome,
     region: Option<Region>,
@@ -1934,9 +1496,8 @@ pub(crate) fn mesh_outcome_reply(
     }
 }
 
-/// Rasterize an admitted frame request from its resident pyramid — the
-/// render half shared by the threaded core (inline on the connection
-/// thread) and the reactor (on a worker, never the event loop).
+/// Rasterize an admitted frame request from its resident pyramid (on a
+/// worker, never the event loop).
 pub(crate) fn frame_render_reply<S: ScalarValue>(
     state: &State<S>,
     levels: &[Arc<CachedSurface>],
@@ -1985,22 +1546,13 @@ pub(crate) fn frame_render_reply<S: ScalarValue>(
     })
 }
 
-/// The wire parameters of one v6 progressive request, plus the dialect it
-/// arrived in.
-pub(crate) struct ProgressiveParams {
-    pub(crate) iso: f32,
-    pub(crate) lod: u16,
-    pub(crate) backend: Option<u8>,
-    pub(crate) trace_id: u64,
-    pub(crate) version: u16,
-}
-
 /// Encode one run of progressive chunk frames for `surfaces` (in stream
 /// order: the first chunk is pyramid level `top_level`, counting down one
 /// per chunk). `prev` is the previously sent surface for delta continuity
 /// into the run; within the run each chunk deltas against its predecessor.
-/// `final_run` marks the run's last chunk `last` on the wire. Shared by
-/// both serving cores so chunk framing cannot diverge between them.
+/// `final_run` marks the run's last chunk `last` on the wire. The event
+/// loop encodes a resident prefix and a worker the extracted rest through
+/// this one function, so chunk framing cannot diverge between them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_chunk_run(
     surfaces: &[Arc<CachedSurface>],
@@ -2035,152 +1587,12 @@ pub(crate) fn encode_chunk_run(
     frames
 }
 
-/// Serve one v6 progressive request on the threaded core: admit, then write
-/// chunk frames directly (coarsest first), running an admitted extraction
-/// inline between the resident prefix and the fresh levels. An extraction
-/// failure after chunks have gone out surfaces as a trailing `ERR_INTERNAL`
-/// frame — the client discards the partial refinement cleanly.
-fn serve_progressive<S: ScalarValue>(
-    stream: &mut TcpStream,
-    state: &Arc<State<S>>,
-    p: ProgressiveParams,
-    trace: &Trace,
-    root: &Span,
-) -> io::Result<Sent> {
-    state.c.mesh_requests.inc();
-    let send_msg =
-        |stream: &mut TcpStream, state: &Arc<State<S>>, reply: Reply| -> io::Result<Sent> {
-            let bytes = reply.finalize(state, p.version);
-            send_reply(stream, state, &bytes)
-        };
-    if p.version < MIN_PROGRESSIVE_VERSION {
-        // the decoder accepts the payload at any version; the *request* is
-        // still a v6 feature — a pre-v6 frame smuggling one in is malformed
-        return send_msg(
-            stream,
-            state,
-            Reply::Msg(Message::Error {
-                code: ERR_MALFORMED,
-                detail: format!(
-                    "progressive requests need protocol v{MIN_PROGRESSIVE_VERSION} (frame spoke v{})",
-                    p.version
-                ),
-                retry_after_ms: None,
-            }),
-        );
-    }
-    let backend = match validate_mesh_request(state, p.lod, p.backend) {
-        Ok(b) => b,
-        Err(reply) => return send_msg(stream, state, reply),
-    };
-    let top = state.levels() - 1;
-    match state.admit_progressive(p.iso, backend, p.lod, root) {
-        ProgressiveAdmit::Busy { retry_after_ms } => send_msg(
-            stream,
-            state,
-            Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms)),
-        ),
-        ProgressiveAdmit::Ready { levels } | ProgressiveAdmit::Degraded { resident: levels } => {
-            for frame in encode_chunk_run(
-                &levels, top, true, backend, p.trace_id, p.version, None, true,
-            ) {
-                if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                    return Ok(Sent::PeerGone);
-                }
-            }
-            Ok(Sent::Ok)
-        }
-        ProgressiveAdmit::Extract { resident, slot } => {
-            // the cached coarse prefix streams before the extraction runs —
-            // the whole point of progressive delivery
-            for frame in encode_chunk_run(
-                &resident, top, true, backend, p.trace_id, p.version, None, false,
-            ) {
-                if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                    return Ok(Sent::PeerGone);
-                }
-            }
-            let next = top - resident.len() as u16;
-            match state.pyramid_for(p.iso, backend, trace) {
-                Err(e) => send_msg(stream, state, internal_error_reply(&e)),
-                Ok(levels) => {
-                    drop(slot);
-                    // `levels` is indexed by lod (0 = full); stream `next`
-                    // down to the requested lod, delta-continuing from the
-                    // last resident chunk
-                    let run: Vec<Arc<CachedSurface>> = (p.lod..=next)
-                        .rev()
-                        .map(|l| levels[l as usize].clone())
-                        .collect();
-                    for frame in encode_chunk_run(
-                        &run,
-                        next,
-                        false,
-                        backend,
-                        p.trace_id,
-                        p.version,
-                        resident.last(),
-                        true,
-                    ) {
-                        if matches!(send_reply(stream, state, &frame)?, Sent::PeerGone) {
-                            return Ok(Sent::PeerGone);
-                        }
-                    }
-                    Ok(Sent::Ok)
-                }
-            }
-        }
-    }
-}
-
-/// Compute the response for one well-formed request spoken at `version`.
-/// Extraction spans land in `trace`; request-level annotations hang off
-/// `root`. The client's trace id (0 when untraced) is echoed on mesh and
-/// frame responses; pre-v5 encoders drop it on the floor.
-pub(crate) fn respond<S: ScalarValue>(
-    state: &Arc<State<S>>,
-    msg: Message,
-    version: u16,
-    trace: &Trace,
-    root: &Span,
-) -> Reply {
+/// Answer one of the cheap, extraction-free requests spoken at `version`:
+/// stats, ping, metrics, trace lookups, and confused clients sending
+/// server-to-client messages. Mesh, frame, and progressive requests never
+/// come here — the reactor admits and dispatches those itself.
+pub(crate) fn respond<S: ScalarValue>(state: &State<S>, msg: Message, version: u16) -> Reply {
     match msg {
-        Message::MeshRequest {
-            iso,
-            region,
-            lod,
-            backend,
-            trace_id,
-        } => {
-            state.c.mesh_requests.inc();
-            let backend = match validate_mesh_request(state, lod, backend) {
-                Ok(b) => b,
-                Err(reply) => return reply,
-            };
-            match state.surface(iso, backend, lod, trace, root) {
-                Ok(outcome) => mesh_outcome_reply(outcome, region, backend, trace_id, version),
-                Err(e) => internal_error_reply(&e),
-            }
-        }
-        Message::FrameRequest {
-            iso,
-            params,
-            trace_id,
-        } => {
-            state.c.frame_requests.inc();
-            if let Some(reply) = validate_frame_request(&params) {
-                return reply;
-            }
-            match state.all_levels(iso, trace, root) {
-                Ok(FrameOutcome::Serve { levels, cache_hit }) => {
-                    frame_render_reply(state, &levels, cache_hit, &params, trace_id)
-                }
-                Ok(FrameOutcome::Busy { retry_after_ms }) => {
-                    Reply::Msg(busy_reply("extraction slots exhausted", retry_after_ms))
-                }
-                Err(e) => internal_error_reply(&e),
-            }
-        }
         Message::StatsRequest => {
             // stats payloads are version-dependent (v2 appends the per-level
             // arrays, v3 the robustness counters), so encode directly at the

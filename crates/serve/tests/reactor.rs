@@ -1,11 +1,10 @@
-//! Reactor-core tests: pipelining order and equivalence with the threaded
-//! core, burst accepts, torn-frame safety under write stalls, outbound
-//! backpressure, and the 512-connection pipelining storm.
+//! Serving-core tests: pipelining order and byte-equivalence with
+//! sequential delivery, burst accepts, torn-frame safety under write
+//! stalls, outbound backpressure, and the 512-connection pipelining storm.
 //!
-//! The equivalence tests intentionally compare **raw reply bytes** between
-//! the two serving cores and between pipelined and sequential delivery —
-//! the reactor's contract is not "similar" responses, but the same bytes
-//! in request order.
+//! The equivalence test intentionally compares **raw reply bytes** between
+//! pipelined and sequential delivery — the contract is not "similar"
+//! responses, but the same bytes in request order.
 
 use oociso_core::{ClusterDatabase, PreprocessOptions};
 use oociso_march::IndexedMesh;
@@ -32,47 +31,11 @@ fn test_volume() -> Volume<u8> {
     SphereField::centered(0.32, 128.0).sample(Dims3::cube(29))
 }
 
-/// Which serving core a scenario runs against. Every test here must hold
-/// for both unless it targets a core-specific mechanism.
-#[derive(Clone, Copy, Debug)]
-enum Core {
-    Threaded,
-    #[cfg(target_os = "linux")]
-    Reactor,
-}
-
-impl Core {
-    fn options(self, opts: ServeOptions) -> ServeOptions {
-        match self {
-            Core::Threaded => ServeOptions {
-                reactor_threads: 0,
-                ..opts
-            },
-            #[cfg(target_os = "linux")]
-            Core::Reactor => ServeOptions {
-                reactor_threads: 2,
-                ..opts
-            },
-        }
-    }
-
-    fn all() -> Vec<Core> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![Core::Threaded, Core::Reactor]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![Core::Threaded]
-        }
-    }
-}
-
-fn bind(name: &str, core: Core, opts: ServeOptions) -> (PathBuf, IsoServer) {
+fn bind(name: &str, opts: ServeOptions) -> (PathBuf, IsoServer) {
     let dir = tmpdir(name);
     let vol = test_volume();
     let served = ClusterDatabase::preprocess(&vol, &dir, &PreprocessOptions::default()).unwrap();
-    let server = IsoServer::bind(served, ("127.0.0.1", 0), core.options(opts)).unwrap();
+    let server = IsoServer::bind(served, ("127.0.0.1", 0), opts).unwrap();
     (dir, server)
 }
 
@@ -138,17 +101,14 @@ fn decode_reply(raw: &[u8]) -> Message {
     }
 }
 
-/// One core's run of the equivalence scenario: warm the cache, issue the 8
-/// requests pipelined on one connection, then the same 8 sequentially on 8
-/// fresh connections, and cross-check. Returns the pipelined raw replies
-/// for cross-core comparison.
-fn equivalence_run(core: Core) -> Vec<Vec<u8>> {
+/// 8 interleaved v5 mesh/frame/stats requests pipelined on one
+/// connection come back in order and byte-identical to the same requests
+/// issued sequentially on fresh connections: warm the cache, issue the 8
+/// pipelined, then each alone, and cross-check.
+#[test]
+fn pipelined_replies_in_order_and_byte_identical_to_sequential() {
     let iso = 120.0f32;
-    let (dir, server) = bind(
-        &format!("equiv_{core:?}").to_lowercase(),
-        core,
-        ServeOptions::default(),
-    );
+    let (dir, server) = bind("equiv", ServeOptions::default());
     let addr = server.addr();
     // warm: after this, every mesh/frame request below is a cache hit in
     // both delivery orders, so replies carry identical cache_hit bits
@@ -200,7 +160,7 @@ fn equivalence_run(core: Core) -> Vec<Vec<u8>> {
             _ => assert_eq!(
                 pipelined[i], sequential[i],
                 "slot {i}: pipelined reply must be byte-identical to its \
-                 sequential twin ({core:?})"
+                 sequential twin"
             ),
         }
         // in-order delivery is observable through the trace-id echo
@@ -218,39 +178,16 @@ fn equivalence_run(core: Core) -> Vec<Vec<u8>> {
     }
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
-    pipelined
 }
 
-/// Satellite: 8 interleaved v5 mesh/frame/stats requests pipelined on one
-/// connection come back in order and byte-identical to sequential fresh
-/// connections — on both cores — and the mesh/frame bytes also match
-/// *across* cores.
-#[test]
-fn pipelined_replies_in_order_and_byte_identical_to_sequential() {
-    let runs: Vec<(Core, Vec<Vec<u8>>)> = Core::all()
-        .into_iter()
-        .map(|core| (core, equivalence_run(core)))
-        .collect();
-    if runs.len() == 2 {
-        let (threaded, reactor) = (&runs[0].1, &runs[1].1);
-        for (i, req) in pipeline_requests(120.0).iter().enumerate() {
-            if !matches!(req, Message::StatsRequest) {
-                assert_eq!(
-                    threaded[i], reactor[i],
-                    "slot {i}: serving cores disagree on reply bytes"
-                );
-            }
-        }
-    }
-}
-
-/// Satellite regression: a burst of simultaneous connects is accepted by
-/// draining the whole backlog per wakeup. An accept loop that takes one
-/// connection per 2 ms park would need >= 190 ms for 96 connections; the
-/// fixed loop admits them all in a couple of wakeups.
+/// Regression: a burst of simultaneous connects is accepted by
+/// draining the whole backlog per wakeup (`accept_burst`). An accept loop
+/// that took one connection per 2 ms park would need >= 190 ms for 96
+/// connections; draining to `WouldBlock` admits them all in a couple of
+/// wakeups.
 #[test]
 fn burst_connect_drains_backlog_per_wakeup() {
-    let (dir, server) = bind("burst", Core::Threaded, ServeOptions::default());
+    let (dir, server) = bind("burst", ServeOptions::default());
     let addr = server.addr();
     let n = 96usize;
     let streams: Vec<TcpStream> = (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect();
@@ -300,11 +237,9 @@ fn assert_no_torn_interleaving(received: &[u8]) -> (usize, usize) {
 /// autotuning. Without this, Linux grows the unread client's window toward
 /// `tcp_rmem[2]` (32 MB on some hosts) and the server's "stalled" write
 /// keeps trickling — the deadline under test measures *zero* progress.
-#[cfg(target_os = "linux")]
 fn clamp_rcvbuf(stream: &TcpStream, bytes: i32) {
     use std::os::fd::AsRawFd;
-    const SOL_SOCKET: i32 = 1;
-    const SO_RCVBUF: i32 = 8;
+    let (sol_socket, so_rcvbuf) = SOCKOPT_RCVBUF;
     extern "C" {
         fn setsockopt(
             fd: i32,
@@ -314,11 +249,13 @@ fn clamp_rcvbuf(stream: &TcpStream, bytes: i32) {
             len: u32,
         ) -> i32;
     }
+    // SAFETY: the fd is open for the call and `bytes` is a live i32 whose
+    // size is passed as the option length.
     let rc = unsafe {
         setsockopt(
             stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_RCVBUF,
+            sol_socket,
+            so_rcvbuf,
             (&bytes as *const i32).cast(),
             4,
         )
@@ -326,16 +263,32 @@ fn clamp_rcvbuf(stream: &TcpStream, bytes: i32) {
     assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
 }
 
-#[cfg(not(target_os = "linux"))]
-fn clamp_rcvbuf(_stream: &TcpStream, _bytes: i32) {}
+/// `(SOL_SOCKET, SO_RCVBUF)`: the BSD values on macOS and the BSDs, the
+/// Linux ones elsewhere.
+#[cfg(any(
+    target_vendor = "apple",
+    target_os = "freebsd",
+    target_os = "openbsd",
+    target_os = "netbsd",
+    target_os = "dragonfly"
+))]
+const SOCKOPT_RCVBUF: (i32, i32) = (0xffff, 0x1002);
+#[cfg(not(any(
+    target_vendor = "apple",
+    target_os = "freebsd",
+    target_os = "openbsd",
+    target_os = "netbsd",
+    target_os = "dragonfly"
+)))]
+const SOCKOPT_RCVBUF: (i32, i32) = (1, 8);
 
 /// Satellite audit pin: when the peer stops reading and the write deadline
 /// fires, the connection is cut — a partially written response frame is
 /// never followed by bytes of another reply.
-fn write_stall_scenario(core: Core) {
+#[test]
+fn write_stall_is_cut_without_torn_frame() {
     let (dir, server) = bind(
-        &format!("stall_{core:?}").to_lowercase(),
-        core,
+        "stall",
         ServeOptions {
             write_timeout: Some(Duration::from_millis(150)),
             read_timeout: Some(Duration::from_secs(30)),
@@ -363,8 +316,7 @@ fn write_stall_scenario(core: Core) {
     let mut sent_all = true;
     for _ in 0..requests {
         if stream.write_all(&frame).is_err() {
-            // the server already cut us off (threaded core blocks its
-            // reads behind its stalled write) — expected, stop sending
+            // the server already cut us off — expected, stop sending
             sent_all = false;
             break;
         }
@@ -375,7 +327,7 @@ fn write_stall_scenario(core: Core) {
     while server.report().timed_out == 0 {
         assert!(
             t0.elapsed() < Duration::from_secs(30),
-            "{core:?}: write deadline never fired"
+            "write deadline never fired"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -395,35 +347,22 @@ fn write_stall_scenario(core: Core) {
     let (complete, partial) = assert_no_torn_interleaving(&received);
     assert!(
         complete < requests,
-        "{core:?}: all {requests} replies flushed — the stall never happened \
+        "all {requests} replies flushed — the stall never happened \
          (got {complete} complete, {partial} partial bytes, sent_all={sent_all})"
     );
     let report = server.stop();
-    assert_eq!(report.timed_out, 1, "{core:?}: the cut is counted");
+    assert_eq!(report.timed_out, 1, "the cut is counted");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn write_stall_is_cut_without_torn_frame_threaded() {
-    write_stall_scenario(Core::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn write_stall_is_cut_without_torn_frame_reactor() {
-    write_stall_scenario(Core::Reactor);
 }
 
 /// Tentpole: a client that pipelines requests faster than it reads replies
 /// trips the outbound byte budget — the reactor pauses *reading* that
 /// connection (never dropping or reordering anything) and resumes once the
 /// queue drains. Every reply still arrives, intact and in order.
-#[cfg(target_os = "linux")]
 #[test]
 fn backpressure_pauses_reads_and_every_reply_survives() {
     let (dir, server) = bind(
         "backpressure",
-        Core::Reactor,
         ServeOptions {
             outbound_budget: 64 * 1024,
             ..Default::default()
@@ -487,11 +426,10 @@ fn backpressure_pauses_reads_and_every_reply_survives() {
 /// correct and in order — and with all 512 still connected, warm-cache
 /// latency keeps p99 under 25 ms (no tick quantization: the event loop
 /// reacts to request arrival, not to a poll interval).
-#[cfg(target_os = "linux")]
 #[test]
 fn storm_512_pipelining_connections_warm_p99_under_25ms() {
     let iso = 120.0f32;
-    let (dir, server) = bind("storm512", Core::Reactor, ServeOptions::default());
+    let (dir, server) = bind("storm512", ServeOptions::default());
     let addr = server.addr();
     Client::connect(addr)
         .unwrap()
@@ -589,56 +527,46 @@ fn storm_512_pipelining_connections_warm_p99_under_25ms() {
 /// Satellite pin: a response stream stalled *inside the 16-byte response
 /// header* (8 bytes in) trips the client deadline; the retrying client
 /// redials and converges on the second connection with a bit-correct
-/// reply — on both cores.
+/// reply.
 #[test]
 fn stall_inside_response_header_retry_converges() {
-    for core in Core::all() {
-        let iso = 120.0f32;
-        let (dir, server) = bind(
-            &format!("hdrstall_{core:?}").to_lowercase(),
-            core,
-            ServeOptions::default(),
-        );
-        let mut direct = Client::connect(server.addr()).unwrap();
-        let truth = direct.query_mesh(iso, None).unwrap();
+    let iso = 120.0f32;
+    let (dir, server) = bind("hdrstall", ServeOptions::default());
+    let mut direct = Client::connect(server.addr()).unwrap();
+    let truth = direct.query_mesh(iso, None).unwrap();
 
-        let proxy = ChaosProxy::start(
-            server.addr(),
-            vec![
-                ConnFault::Stall {
-                    after_bytes: 8, // mid-header: client holds a torn prefix
-                    pause: Duration::from_millis(700),
-                },
-                ConnFault::Clean,
-            ],
-        )
-        .unwrap();
-        let mut client = Client::connect_with(
-            proxy.addr(),
-            ClientOptions {
-                request_timeout: Some(Duration::from_millis(150)),
-                retries: 3,
-                backoff: Duration::from_millis(10),
-                ..Default::default()
+    let proxy = ChaosProxy::start(
+        server.addr(),
+        vec![
+            ConnFault::Stall {
+                after_bytes: 8, // mid-header: client holds a torn prefix
+                pause: Duration::from_millis(700),
             },
-        )
-        .unwrap();
-        let reply = client.query_mesh(iso, None).unwrap();
-        assert_eq!(
-            reply.mesh.positions().len(),
-            truth.mesh.positions().len(),
-            "{core:?}: converged reply must be the real mesh"
-        );
-        assert_eq!(reply.mesh.indices(), truth.mesh.indices(), "{core:?}");
-        assert_eq!(
-            proxy.connections(),
-            2,
-            "{core:?}: torn attempt + converging redial"
-        );
-        proxy.stop();
-        server.stop();
-        std::fs::remove_dir_all(&dir).ok();
-    }
+            ConnFault::Clean,
+        ],
+    )
+    .unwrap();
+    let mut client = Client::connect_with(
+        proxy.addr(),
+        ClientOptions {
+            request_timeout: Some(Duration::from_millis(150)),
+            retries: 3,
+            backoff: Duration::from_millis(10),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let reply = client.query_mesh(iso, None).unwrap();
+    assert_eq!(
+        reply.mesh.positions().len(),
+        truth.mesh.positions().len(),
+        "converged reply must be the real mesh"
+    );
+    assert_eq!(reply.mesh.indices(), truth.mesh.indices());
+    assert_eq!(proxy.connections(), 2, "torn attempt + converging redial");
+    proxy.stop();
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
@@ -658,11 +586,11 @@ fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
 /// Tentpole: a progressive (v6) delivery streams the LOD pyramid coarsest
 /// first — cold (one extraction feeds all chunks) and warm (all cache
 /// hits) — with every refinement bit-identical to the plain per-level
-/// query, and strict reply ordering around pipelined neighbors. Both cores.
-fn progressive_delivery_scenario(core: Core) {
+/// query, and strict reply ordering around pipelined neighbors.
+#[test]
+fn progressive_delivery_streams_coarse_to_fine_in_order() {
     let (dir, server) = bind(
-        &format!("prog_{core:?}").to_lowercase(),
-        core,
+        "prog",
         ServeOptions {
             lod_ratios: vec![0.25, 0.06],
             ..Default::default()
@@ -679,16 +607,16 @@ fn progressive_delivery_scenario(core: Core) {
             cold.push((u.level, u.cache_hit, u.mesh.clone()))
         })
         .unwrap();
-    assert!(!reply.degraded, "{core:?}");
-    assert_eq!(reply.served_lod, 0, "{core:?}");
+    assert!(!reply.degraded);
+    assert_eq!(reply.served_lod, 0);
     assert_eq!(
         cold.iter().map(|c| c.0).collect::<Vec<_>>(),
         vec![2, 1, 0],
-        "{core:?}: coarsest first, strictly refining"
+        "coarsest first, strictly refining"
     );
     assert!(
         cold.iter().all(|c| !c.1),
-        "{core:?}: cold chunks cannot be cache hits"
+        "cold chunks cannot be cache hits"
     );
     assert_same_mesh(&cold[2].2, &reply.mesh, "final refinement is the reply");
 
@@ -696,8 +624,8 @@ fn progressive_delivery_scenario(core: Core) {
     // (cache hits now: the delivery populated the pyramid)
     for (level, _, mesh) in &cold {
         let plain = client.query_mesh_lod(iso, None, *level).unwrap();
-        assert!(plain.cache_hit, "{core:?}: level {level} resident");
-        assert_same_mesh(mesh, &plain.mesh, &format!("{core:?} level {level}"));
+        assert!(plain.cache_hit, "level {level} resident");
+        assert_same_mesh(mesh, &plain.mesh, &format!("level {level}"));
     }
 
     // warm: a second delivery streams entirely from cache
@@ -705,8 +633,8 @@ fn progressive_delivery_scenario(core: Core) {
     let again = client
         .query_mesh_progressive(iso, 0, None, |u| warm_hits.push(u.cache_hit))
         .unwrap();
-    assert_eq!(warm_hits, vec![true; 3], "{core:?}: warm delivery all hits");
-    assert!(again.cache_hit, "{core:?}");
+    assert_eq!(warm_hits, vec![true; 3], "warm delivery all hits");
+    assert!(again.cache_hit);
     assert_same_mesh(&again.mesh, &reply.mesh, "warm delivery");
 
     // strict per-connection ordering: a progressive request pipelined
@@ -745,7 +673,7 @@ fn progressive_delivery_scenario(core: Core) {
         for _ in 0..5 {
             match read_frame(&mut stream).unwrap().unwrap() {
                 FrameIn::Ok { msg, .. } => kinds.push(msg.msg_type()),
-                other => panic!("{core:?}: violation mid-pipeline: {other:?}"),
+                other => panic!("violation mid-pipeline: {other:?}"),
             }
         }
         assert_eq!(
@@ -757,16 +685,9 @@ fn progressive_delivery_scenario(core: Core) {
                 MSG_MESH_CHUNK,
                 MSG_PONG
             ],
-            "{core:?}: replies must stay in request order around the stream"
+            "replies must stay in request order around the stream"
         );
     }
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn progressive_delivery_streams_coarse_to_fine_in_order() {
-    for core in Core::all() {
-        progressive_delivery_scenario(core);
-    }
 }

@@ -478,26 +478,32 @@ fn malformed_lod_ladders_are_rejected_at_bind_not_per_request() {
         nodes: 1,
         ..Default::default()
     };
-    for ratios in [
-        vec![0.5, 0.6],             // not decreasing
-        vec![1.5],                  // out of range
-        vec![f64::NAN],             // not finite
-        vec![0.0],                  // zero
-        vec![0.5, 0.25, 0.1, 0.05], // too many levels
+    let ladder = |lod_ratios: Vec<f64>| ServeOptions {
+        lod_ratios,
+        ..Default::default()
+    };
+    for serve_opts in [
+        ladder(vec![0.5, 0.6]),             // not decreasing
+        ladder(vec![1.5]),                  // out of range
+        ladder(vec![f64::NAN]),             // not finite
+        ladder(vec![0.0]),                  // zero
+        ladder(vec![0.5, 0.25, 0.1, 0.05]), // too many levels
+        // no event loop to serve on
+        ServeOptions {
+            reactor_threads: 0,
+            ..Default::default()
+        },
     ] {
+        let what = format!(
+            "lods {:?} on {} event loop(s)",
+            serve_opts.lod_ratios, serve_opts.reactor_threads
+        );
         let db = ClusterDatabase::preprocess(&vol, &dir, &opts).unwrap();
-        match IsoServer::bind(
-            db,
-            ("127.0.0.1", 0),
-            ServeOptions {
-                lod_ratios: ratios.clone(),
-                ..Default::default()
-            },
-        ) {
-            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{ratios:?}"),
+        match IsoServer::bind(db, ("127.0.0.1", 0), serve_opts) {
+            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{what}"),
             Ok(server) => {
                 server.stop();
-                panic!("{ratios:?} must be rejected at bind");
+                panic!("{what} must be rejected at bind");
             }
         }
     }
@@ -901,6 +907,10 @@ fn metrics_exposition_agrees_with_stats() {
         "histogram missing:\n{text}"
     );
     assert!(text.contains("phase_triangulate_us_count"), "{text}");
+    // the fixture binds `ServeOptions::default()` (its cache budget is the
+    // default one), and the default server runs the event-loop core
+    assert!(line("reactor_wakeups_total") >= 1);
+    assert_eq!(line("reactor_connections"), 1, "this client's connection");
 
     // the in-process view matches too
     assert!(server.metrics().contains("mesh_requests_total"));

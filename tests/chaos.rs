@@ -32,38 +32,14 @@ fn test_volume() -> Volume<u8> {
     SphereField::centered(0.32, 128.0).sample(Dims3::cube(29))
 }
 
-/// Which serving core a scenario exercises. Every server-side fault
-/// scenario in this suite runs against both cores with the *same*
-/// assertions — the reactor's overload/fault semantics are required to be
-/// indistinguishable from the threaded core's.
-#[derive(Clone, Copy, Debug)]
-enum Core {
-    Threaded,
-    #[cfg(target_os = "linux")]
-    Reactor,
-}
-
-impl Core {
-    fn options(self, opts: ServeOptions) -> ServeOptions {
-        match self {
-            Core::Threaded => ServeOptions {
-                reactor_threads: 0,
-                ..opts
-            },
-            #[cfg(target_os = "linux")]
-            Core::Reactor => ServeOptions {
-                reactor_threads: 2,
-                ..opts
-            },
-        }
-    }
-
-    fn suffix(self) -> &'static str {
-        match self {
-            Core::Threaded => "threaded",
-            #[cfg(target_os = "linux")]
-            Core::Reactor => "reactor",
-        }
+/// Server options on `loops` event loops. Every server-side scenario runs
+/// with the same assertions on one loop, where every connection shares a
+/// single poll thread, and (the `*_reactor` tests) on two, the default,
+/// where accepted connections are spread across loops.
+fn on_loops(loops: usize, opts: ServeOptions) -> ServeOptions {
+    ServeOptions {
+        reactor_threads: loops,
+        ..opts
     }
 }
 
@@ -111,15 +87,18 @@ fn assert_same_mesh(a: &IndexedMesh, b: &IndexedMesh, ctx: &str) {
 /// reply must be a bit-correct mesh or an honest `ERR_BUSY` carrying a
 /// retry hint — and the server's shed counter must reconcile exactly with
 /// the busy replies the clients counted.
-fn storm_with_two_slots_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_storm_{}", core.suffix()));
+fn storm_with_two_slots_scenario(loops: usize) {
+    let (dir, served, direct) = build_db(&format!("chaos_storm_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            extraction_slots: Some(2),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                extraction_slots: Some(2),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let addr = server.addr();
@@ -178,28 +157,30 @@ fn storm_with_two_slots_scenario(core: Core) {
 
 #[test]
 fn storm_with_two_slots_never_serves_a_wrong_mesh() {
-    storm_with_two_slots_scenario(Core::Threaded);
+    storm_with_two_slots_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn storm_with_two_slots_never_serves_a_wrong_mesh_reactor() {
-    storm_with_two_slots_scenario(Core::Reactor);
+    storm_with_two_slots_scenario(2);
 }
 
 /// `extraction_slots: Some(0)` sheds every miss deterministically — the
 /// read-only-replica configuration, and the exact-count anchor for the
 /// shed counter and the retry hint's clamp window (which the cold-start
 /// hint, EWMA with zero samples, must sit at the floor of).
-fn zero_slots_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_zeroslots_{}", core.suffix()));
+fn zero_slots_scenario(loops: usize) {
+    let (dir, served, _direct) = build_db(&format!("chaos_zeroslots_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            extraction_slots: Some(0),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                extraction_slots: Some(0),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -224,21 +205,20 @@ fn zero_slots_scenario(core: Core) {
 
 #[test]
 fn zero_slots_shed_every_miss_with_retry_hint() {
-    zero_slots_scenario(Core::Threaded);
+    zero_slots_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn zero_slots_shed_every_miss_with_retry_hint_reactor() {
-    zero_slots_scenario(Core::Reactor);
+    zero_slots_scenario(2);
 }
 
 /// Graceful degradation: a miss that cannot win the (single, occupied)
 /// extraction slot is served from the cached coarser LOD of the same
 /// isovalue — flagged `degraded`, with the `served_lod` it actually got,
 /// and bit-identical to what that level serves normally.
-fn degraded_fallback_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_degrade_{}", core.suffix()));
+fn degraded_fallback_scenario(loops: usize) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_degrade_{loops}"));
     // slow extraction (~0.5 s) so another request reliably arrives while
     // the only slot is held
     throttle_db(&dir, &mut served, 1.0);
@@ -251,13 +231,16 @@ fn degraded_fallback_scenario(core: Core) {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            cache_bytes: full_bytes - 1,
-            lod_ratios: vec![0.25, 0.06],
-            extraction_slots: Some(1),
-            degrade: true,
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                cache_bytes: full_bytes - 1,
+                lod_ratios: vec![0.25, 0.06],
+                extraction_slots: Some(1),
+                degrade: true,
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let addr = server.addr();
@@ -297,27 +280,29 @@ fn degraded_fallback_scenario(core: Core) {
 
 #[test]
 fn degraded_fallback_serves_flagged_cached_coarser_lod() {
-    degraded_fallback_scenario(Core::Threaded);
+    degraded_fallback_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn degraded_fallback_serves_flagged_cached_coarser_lod_reactor() {
-    degraded_fallback_scenario(Core::Reactor);
+    degraded_fallback_scenario(2);
 }
 
 /// The connection cap: an over-cap connection gets one structured
 /// `ERR_BUSY` and a close — never a silent drop — and the capped server
 /// keeps serving its admitted client.
-fn connection_cap_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_conncap_{}", core.suffix()));
+fn connection_cap_scenario(loops: usize) {
+    let (dir, served, _direct) = build_db(&format!("chaos_conncap_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            max_connections: Some(1),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                max_connections: Some(1),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let addr = server.addr();
@@ -345,20 +330,19 @@ fn connection_cap_scenario(core: Core) {
 
 #[test]
 fn connection_cap_sheds_overflow_with_busy() {
-    connection_cap_scenario(Core::Threaded);
+    connection_cap_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn connection_cap_sheds_overflow_with_busy_reactor() {
-    connection_cap_scenario(Core::Reactor);
+    connection_cap_scenario(2);
 }
 
 /// A disk fault mid-extraction surfaces as a structured `ERR_INTERNAL` —
 /// and the server stays healthy: the connection survives, the extraction
 /// slot is released, and the same query succeeds once the disk heals.
-fn disk_fault_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_diskfault_{}", core.suffix()));
+fn disk_fault_scenario(loops: usize) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_diskfault_{loops}"));
     let bricks = std::fs::read(DiskFarm::new(&dir, 1).store_path(0)).unwrap();
     served.replace_store(
         0,
@@ -370,11 +354,14 @@ fn disk_fault_scenario(core: Core) {
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            // a single slot proves the failed extraction released it
-            extraction_slots: Some(1),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                // a single slot proves the failed extraction released it
+                extraction_slots: Some(1),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -396,27 +383,26 @@ fn disk_fault_scenario(core: Core) {
 
 #[test]
 fn injected_disk_fault_surfaces_as_err_internal_and_server_heals() {
-    disk_fault_scenario(Core::Threaded);
+    disk_fault_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn injected_disk_fault_surfaces_as_err_internal_and_server_heals_reactor() {
-    disk_fault_scenario(Core::Reactor);
+    disk_fault_scenario(2);
 }
 
 /// Drain under load: every request accepted before the drain started gets
 /// its full, bit-correct reply — zero are dropped, shed, or timed out —
 /// and the listener is gone afterwards.
-fn drain_under_load_scenario(core: Core) {
-    let (dir, mut served, direct) = build_db(&format!("chaos_drain_{}", core.suffix()));
+fn drain_under_load_scenario(loops: usize) {
+    let (dir, mut served, direct) = build_db(&format!("chaos_drain_{loops}"));
     // ~0.5 s per extraction: all six requests are still in flight when
     // the drain begins
     throttle_db(&dir, &mut served, 1.0);
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions::default()),
+        on_loops(loops, ServeOptions::default()),
     )
     .unwrap();
     let addr = server.addr();
@@ -457,24 +443,23 @@ fn drain_under_load_scenario(core: Core) {
 
 #[test]
 fn drain_under_load_completes_all_accepted_requests() {
-    drain_under_load_scenario(Core::Threaded);
+    drain_under_load_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn drain_under_load_completes_all_accepted_requests_reactor() {
-    drain_under_load_scenario(Core::Reactor);
+    drain_under_load_scenario(2);
 }
 
 /// The retrying client converges through a scripted flaky transport: a
 /// mid-frame truncation, then a refused connection, then a clean one —
 /// one `query_mesh` call, a bit-correct result, exactly three connections.
-fn retrying_client_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_retry_{}", core.suffix()));
+fn retrying_client_scenario(loops: usize) {
+    let (dir, served, direct) = build_db(&format!("chaos_retry_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions::default()),
+        on_loops(loops, ServeOptions::default()),
     )
     .unwrap();
     // warm the cache through a direct connection so proxied attempts are fast
@@ -519,13 +504,12 @@ fn retrying_client_scenario(core: Core) {
 
 #[test]
 fn retrying_client_converges_through_flaky_transport() {
-    retrying_client_scenario(Core::Threaded);
+    retrying_client_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn retrying_client_converges_through_flaky_transport_reactor() {
-    retrying_client_scenario(Core::Reactor);
+    retrying_client_scenario(2);
 }
 
 /// `ERR_BUSY` replies drive the client's backoff (honoring the server's
@@ -630,15 +614,18 @@ fn request_deadline_surfaces_as_timed_out() {
 /// Slowloris defense: a peer that starts a frame and stalls is cut off by
 /// the read deadline (counted `timed_out`), and the server keeps serving
 /// well-behaved clients.
-fn slowloris_scenario(core: Core) {
-    let (dir, served, _direct) = build_db(&format!("chaos_slowloris_{}", core.suffix()));
+fn slowloris_scenario(loops: usize) {
+    let (dir, served, _direct) = build_db(&format!("chaos_slowloris_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            read_timeout: Some(Duration::from_millis(100)),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                read_timeout: Some(Duration::from_millis(100)),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let addr = server.addr();
@@ -672,13 +659,12 @@ fn slowloris_scenario(core: Core) {
 
 #[test]
 fn slowloris_peer_is_disconnected_and_server_keeps_serving() {
-    slowloris_scenario(Core::Threaded);
+    slowloris_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn slowloris_peer_is_disconnected_and_server_keeps_serving_reactor() {
-    slowloris_scenario(Core::Reactor);
+    slowloris_scenario(2);
 }
 
 /// Exact-token lookup in a Prometheus text exposition: `name value` lines
@@ -697,16 +683,19 @@ fn metric_value(exposition: &str, name: &str) -> u64 {
 /// warms `v ± δ` on idle slots, so the next scrub stops are cache hits —
 /// bit-identical to direct extraction — and the warming added zero sheds
 /// and zero degraded serves.
-fn warmed_scrub_scenario(core: Core) {
-    let (dir, served, direct) = build_db(&format!("chaos_warmscrub_{}", core.suffix()));
+fn warmed_scrub_scenario(loops: usize) {
+    let (dir, served, direct) = build_db(&format!("chaos_warmscrub_{loops}"));
     let server = IsoServer::bind(
         served,
         ("127.0.0.1", 0),
-        core.options(ServeOptions {
-            warm_delta: Some(10.0),
-            extraction_slots: Some(2),
-            ..Default::default()
-        }),
+        on_loops(
+            loops,
+            ServeOptions {
+                warm_delta: Some(10.0),
+                extraction_slots: Some(2),
+                ..Default::default()
+            },
+        ),
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -761,13 +750,12 @@ fn warmed_scrub_scenario(core: Core) {
 
 #[test]
 fn warmed_scrub_hits_speculative_entries_without_shedding() {
-    warmed_scrub_scenario(Core::Threaded);
+    warmed_scrub_scenario(1);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn warmed_scrub_hits_speculative_entries_without_shedding_reactor() {
-    warmed_scrub_scenario(Core::Reactor);
+    warmed_scrub_scenario(2);
 }
 
 /// Regression: a busy reply hinting `retry_after_ms: 0` (or carrying no
